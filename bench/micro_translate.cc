@@ -1,18 +1,25 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot paths:
- * per-mode translation throughput of the Mmu, raw walker costs,
- * TLB lookups, and escape-filter probes.  These measure the
+ * per-mode translation throughput of the Mmu, TLB lookups,
+ * escape-filter probes, and the physical-memory reads and PTE-line
+ * cache accesses a 2D walk makes.  These measure the
  * *library's* speed (simulation throughput), complementing the
  * figure benches that measure the *modeled* cycles.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/logging.hh"
+#include "paging/nested_walker.hh"
+#include "paging/walker.hh"
 #include "segment/escape_filter.hh"
 #include "sim/machine.hh"
 #include "tlb/tlb.hh"
+#include "tlb/walk_cache.hh"
+#include "vmm/vmm.hh"
 #include "workload/workload.hh"
 
 using namespace emv;
@@ -103,12 +110,93 @@ BM_EscapeFilterProbe(benchmark::State &state)
     }
 }
 
+/** gPA→hPA by an uncached walk of the nested page table. */
+class NestedTableTranslator : public paging::GpaTranslator
+{
+  public:
+    NestedTableTranslator(const paging::Walker &walker, Addr root)
+        : walker(walker), root(root)
+    {
+    }
+
+    paging::WalkOutcome
+    toHost(Addr gpa, paging::WalkTrace &trace) override
+    {
+        return walker.walk(root, gpa, paging::RefStage::NestedTable,
+                           trace);
+    }
+
+  private:
+    const paging::Walker &walker;
+    Addr root;
+};
+
+/**
+ * The hPAs that uncached 2D walks of the workload's next accesses
+ * read on a warmed 4K+4K machine, in walk order.
+ */
+std::vector<Addr>
+walkRefHpas(Rig &rig)
+{
+    sim::Machine &m = *rig.machine;
+    const paging::Walker walker(m.hostMem());
+    const paging::NestedWalker nested(m.hostMem());
+    NestedTableTranslator tx(walker, m.vm()->nestedRoot());
+    const Addr guest_root = m.process().pageTable().root();
+    std::vector<Addr> hpas;
+    paging::WalkTrace trace;
+    for (int i = 0; i < 4096; ++i) {
+        const auto op = rig.wl->next();
+        if (op.kind == workload::Op::Kind::Remap)
+            continue;
+        trace.clear();
+        if (!nested.walk(guest_root, op.va, tx, trace).ok)
+            continue;
+        for (const auto &ref : trace.refs)
+            hpas.push_back(ref.hpa);
+    }
+    return hpas;
+}
+
+void
+BM_PhysMemoryRead64WalkRefs(benchmark::State &state)
+{
+    auto rig = makeRig(core::Mode::BaseVirtualized);
+    const std::vector<Addr> hpas = walkRefHpas(rig);
+    const mem::PhysMemory &host = rig.machine->hostMem();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(host.read64(hpas[i]));
+        if (++i == hpas.size())
+            i = 0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
+BM_LineCacheAccessWalkRefs(benchmark::State &state)
+{
+    auto rig = makeRig(core::Mode::BaseVirtualized);
+    const std::vector<Addr> hpas = walkRefHpas(rig);
+    const core::MmuConfig geometry;
+    tlb::LineCache lines(geometry.pteLineSets, geometry.pteLineWays);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(lines.access(hpas[i]));
+        if (++i == hpas.size())
+            i = 0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
 BENCHMARK(BM_TranslateNative);
 BENCHMARK(BM_TranslateBaseVirtualized);
 BENCHMARK(BM_TranslateVmmDirect);
 BENCHMARK(BM_TranslateDualDirect);
 BENCHMARK(BM_TlbLookupHit);
 BENCHMARK(BM_EscapeFilterProbe);
+BENCHMARK(BM_PhysMemoryRead64WalkRefs);
+BENCHMARK(BM_LineCacheAccessWalkRefs);
 
 } // namespace
 

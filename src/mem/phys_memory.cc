@@ -11,7 +11,8 @@ namespace emv::mem {
 PhysMemory::PhysMemory(Addr size_bytes)
     : sizeBytes(size_bytes),
       readsCtr(&_stats.counter("reads")),
-      writesCtr(&_stats.counter("writes"))
+      writesCtr(&_stats.counter("writes")),
+      dir((size_bytes + kPage2M - 1) / kPage2M)
 {
     emv_assert(size_bytes > 0 && isAligned(size_bytes, kPage4K),
                "physical memory size must be a positive multiple of 4K");
@@ -23,11 +24,15 @@ PhysMemory::frameFor(Addr addr)
     emv_assert(addr < sizeBytes,
                "physical access %s beyond memory size %s",
                hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-    const std::uint64_t frame_no = addr >> 12;
-    auto &slot = frames[frame_no];
-    if (!slot)
-        slot = std::make_unique<Frame>();
-    return *slot;
+    auto &leaf = dir[addr >> 21];
+    if (!leaf)
+        leaf = std::make_unique<Leaf>();
+    auto &frame = (*leaf)[(addr >> 12) & 511];
+    if (!frame) {
+        frame = std::make_unique<Frame>();
+        ++resident;
+    }
+    return *frame;
 }
 
 const PhysMemory::Frame *
@@ -36,8 +41,8 @@ PhysMemory::frameForConst(Addr addr) const
     emv_assert(addr < sizeBytes,
                "physical access %s beyond memory size %s",
                hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-    auto it = frames.find(addr >> 12);
-    return it == frames.end() ? nullptr : it->second.get();
+    const Leaf *leaf = dir[addr >> 21].get();
+    return leaf ? (*leaf)[(addr >> 12) & 511].get() : nullptr;
 }
 
 std::uint64_t
@@ -161,17 +166,20 @@ PhysMemory::serialize(ckpt::Encoder &enc) const
 {
     enc.u64(sizeBytes);
 
-    std::vector<std::uint64_t> keys;
-    keys.reserve(frames.size());
-    for (const auto &[index, frame] : frames)
-        keys.push_back(index);
-    std::sort(keys.begin(), keys.end());
-    enc.u64(keys.size());
-    for (std::uint64_t index : keys) {
-        enc.u64(index);
-        const Frame &frame = *frames.at(index);
-        for (std::uint64_t word : frame)
-            enc.u64(word);
+    // The directory is ordered by frame number, so a straight walk
+    // emits frames in ascending index order.
+    enc.u64(resident);
+    for (std::size_t top = 0; top < dir.size(); ++top) {
+        if (!dir[top])
+            continue;
+        for (std::size_t slot = 0; slot < 512; ++slot) {
+            const Frame *frame = (*dir[top])[slot].get();
+            if (!frame)
+                continue;
+            enc.u64((top << 9) | slot);
+            for (std::uint64_t word : *frame)
+                enc.u64(word);
+        }
     }
 
     std::vector<std::uint64_t> bad(badFrames.begin(),
@@ -193,15 +201,25 @@ PhysMemory::deserialize(ckpt::Decoder &dec)
         return false;
     }
 
-    frames.clear();
+    for (auto &leaf : dir)
+        leaf.reset();
+    resident = 0;
     const std::uint64_t nframes = dec.u64();
     for (std::uint64_t i = 0; dec.ok() && i < nframes; ++i) {
         const std::uint64_t index = dec.u64();
-        auto frame = std::make_unique<Frame>();
-        for (auto &word : *frame)
+        if (!dec.ok())
+            break;
+        if (index >= sizeBytes >> 12) {
+            dec.fail("physmem: frame index out of range");
+            return false;
+        }
+        if (frameForConst(index << 12)) {
+            dec.fail("physmem: duplicate frame index");
+            return false;
+        }
+        Frame &frame = frameFor(index << 12);
+        for (auto &word : frame)
             word = dec.u64();
-        if (dec.ok())
-            frames.emplace(index, std::move(frame));
     }
 
     badFrames.clear();

@@ -10,9 +10,15 @@
  *
  * The store is sparse (4 KB frames materialized on first touch) so a
  * simulated multi-GB machine costs only what the page tables and
- * touched data actually occupy.  PhysMemory also owns the hard-fault
- * model: frames can be marked bad (paper §V), and the escape filter
- * machinery consults that registry.
+ * touched data actually occupy.  Frames hang off a two-level radix
+ * directory: the top level has one slot per 2 MB region (addr >> 21)
+ * and a region's leaf of 512 frame pointers is allocated on the first
+ * write inside it, so read64() is two indexed loads with no hashing.
+ * A dense per-frame array would be simpler still but costs 8 bytes
+ * per 4 KB of simulated memory up front, several MB per host.
+ * PhysMemory also owns the hard-fault model: frames can be marked
+ * bad (paper §V), and the escape filter machinery consults that
+ * registry.
  */
 
 #pragma once
@@ -20,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -77,7 +82,7 @@ class PhysMemory
     std::size_t badFrameCount() const { return badFrames.size(); }
 
     /** Number of frames actually materialized. */
-    std::size_t residentFrames() const { return frames.size(); }
+    std::size_t residentFrames() const { return resident; }
 
     StatGroup &stats() { return _stats; }
 
@@ -91,6 +96,8 @@ class PhysMemory
 
   private:
     using Frame = std::array<std::uint64_t, 512>;
+    /** The frames of one 2 MB region, by frame number mod 512. */
+    using Leaf = std::array<std::unique_ptr<Frame>, 512>;
 
     Frame &frameFor(Addr addr);
     const Frame *frameForConst(Addr addr) const;
@@ -100,7 +107,10 @@ class PhysMemory
     // Cached so read64()/write64() bump them without a lookup.
     Counter *readsCtr;
     Counter *writesCtr;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Frame>> frames;
+    // Radix frame directory: dir[addr >> 21] is the leaf of that
+    // 2 MB region, null until something is written there.
+    std::vector<std::unique_ptr<Leaf>> dir;
+    std::size_t resident = 0;
     std::unordered_set<std::uint64_t> badFrames;
 };
 

@@ -11,9 +11,11 @@
 
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace emv::paging {
@@ -47,10 +49,54 @@ struct WalkRef
     std::int8_t level = 0;  //!< Radix level (4..1) of the entry.
 };
 
+/**
+ * The references of one walk, stored inline.  A 2D walk makes at
+ * most 5 x 4 + 4 = 24 (Fig. 2: each of the four guest levels and the
+ * final gPA needs a four-level nested walk, plus the four guest
+ * entries themselves), and no mode adds references beyond that, so
+ * a fixed array replaces a heap vector per walk.  The interface is
+ * the subset of std::vector the walkers and cost model use; a 25th
+ * reference means the model is broken and panics.
+ */
+class WalkRefs
+{
+  public:
+    static constexpr std::size_t kCapacity = 24;
+
+    void
+    push_back(const WalkRef &ref)
+    {
+        emv_assert(count < kCapacity,
+                   "walk made more than %zu references", kCapacity);
+        slots[count++] = ref;
+    }
+
+    /** Capacity is fixed; only checks that @p n fits. */
+    void
+    reserve(std::size_t n) const
+    {
+        emv_assert(n <= kCapacity,
+                   "walk trace cannot hold %zu references", n);
+    }
+
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    void clear() { count = 0; }
+
+    const WalkRef &operator[](std::size_t i) const { return slots[i]; }
+
+    const WalkRef *begin() const { return slots.data(); }
+    const WalkRef *end() const { return slots.data() + count; }
+
+  private:
+    std::array<WalkRef, kCapacity> slots;
+    std::size_t count = 0;
+};
+
 /** Full record of one translation's walk activity. */
 struct WalkTrace
 {
-    std::vector<WalkRef> refs;
+    WalkRefs refs;
     unsigned calculations = 0;  //!< Base-bound checks / segment adds.
 
     void

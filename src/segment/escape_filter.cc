@@ -27,7 +27,9 @@ log2Bits(unsigned bits)
 EscapeFilter::EscapeFilter(unsigned bits, unsigned num_hashes,
                            std::uint64_t seed)
     : bits(bits), hashes(num_hashes, log2Bits(bits), seed),
-      words((bits + 63) / 64, 0)
+      words((bits + 63) / 64, 0),
+      insertsCtr(&_stats.counter("inserts")),
+      positivesCtr(&_stats.counter("positives"))
 {
     emv_assert(bits >= 64 && (bits & (bits - 1)) == 0,
                "escape filter size must be a power of two >= 64");
@@ -43,7 +45,7 @@ EscapeFilter::insertPage(Addr addr)
         words[bit >> 6] |= 1ull << (bit & 63);
     }
     ++inserted;
-    ++_stats.counter("inserts");
+    ++*insertsCtr;
     // A Bloom filter may report false positives (harmless: the page
     // escapes to paging) but never false negatives — a miss on an
     // inserted page would translate through the stale segment mapping.
@@ -70,7 +72,7 @@ EscapeFilter::mayContain(Addr addr) const
         if (!(words[bit >> 6] & (1ull << (bit & 63))))
             return false;
     }
-    ++_stats.counter("positives");
+    ++*positivesCtr;
     return true;
 }
 

@@ -96,6 +96,9 @@ class EscapeFilter
     H3Family hashes;
     std::vector<std::uint64_t> words;
     mutable StatGroup _stats{"escape_filter"};
+    // Cached so the probe and insert paths bump them without a lookup.
+    Counter *insertsCtr;
+    Counter *positivesCtr;
 };
 
 } // namespace emv::segment

@@ -46,6 +46,10 @@ Tlb::setOf(std::uint64_t vpn, EntryKind kind, PageSize size) const
 std::optional<TlbHit>
 Tlb::lookup(EntryKind kind, Addr addr, PageSize size)
 {
+    if (!anyValid) {
+        ++*missesCtr;
+        return std::nullopt;
+    }
     const std::uint64_t vpn = addr >> pageShift(size);
     Entry *set = &entries[setOf(vpn, kind, size) * numWays];
     for (unsigned w = 0; w < numWays; ++w) {
@@ -64,6 +68,10 @@ Tlb::lookup(EntryKind kind, Addr addr, PageSize size)
 std::optional<TlbHit>
 Tlb::lookupAny(EntryKind kind, Addr addr)
 {
+    if (!anyValid) {
+        ++*missesCtr;
+        return std::nullopt;
+    }
     for (PageSize size : {PageSize::Size1G, PageSize::Size2M,
                           PageSize::Size4K}) {
         // lookupAny counts a single logical probe; suppress the
@@ -116,6 +124,7 @@ Tlb::insert(EntryKind kind, Addr addr, Addr frame, PageSize size)
     victim->kind = kind;
     victim->lru = ++tick;
     victim->valid = true;
+    anyValid = true;
     ++*insertsCtr;
     EMV_INVARIANT([&] {
                       unsigned copies = 0;
@@ -159,6 +168,7 @@ Tlb::flushAll()
 {
     for (auto &e : entries)
         e.valid = false;
+    anyValid = false;
     ++_stats.counter("full_flushes");
 }
 
@@ -204,14 +214,28 @@ Tlb::deserialize(ckpt::Decoder &dec)
         dec.fail("tlb '" + name + "': entry count mismatch");
         return false;
     }
+    anyValid = false;
     for (std::uint64_t i = 0; dec.ok() && i < n; ++i) {
         Entry &e = entries[static_cast<std::size_t>(i)];
         e.vpn = dec.u64();
         e.frame = dec.u64();
         e.lru = dec.u64();
-        e.size = static_cast<PageSize>(dec.u8());
-        e.kind = static_cast<EntryKind>(dec.u8());
+        const std::uint8_t size = dec.u8();
+        const std::uint8_t kind = dec.u8();
         e.valid = dec.u8() != 0;
+        if (!dec.ok())
+            break;
+        if (size > static_cast<std::uint8_t>(PageSize::Size1G)) {
+            dec.fail("tlb '" + name + "': bad page size");
+            return false;
+        }
+        if (kind > static_cast<std::uint8_t>(EntryKind::Nested)) {
+            dec.fail("tlb '" + name + "': bad entry kind");
+            return false;
+        }
+        e.size = static_cast<PageSize>(size);
+        e.kind = static_cast<EntryKind>(kind);
+        anyValid = anyValid || e.valid;
     }
     if (!_stats.deserialize(dec))
         return false;

@@ -112,6 +112,10 @@ class Tlb
     unsigned numWays;
     std::uint64_t tick = 0;
     std::vector<Entry> entries;
+    // False only when no entry can be valid: set by insert(), cleared
+    // by flushAll().  A lookup in an empty TLB (the 1G and 2M L1s of
+    // a 4K workload) then counts its miss without probing a set.
+    bool anyValid = false;
     StatGroup _stats;
 
     // Hot-path counters bound once (std::map references are stable).

@@ -1,5 +1,6 @@
 #include "tlb/walk_cache.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/audit.hh"
@@ -91,7 +92,7 @@ WalkCache::flush()
 
 LineCache::LineCache(unsigned sets, unsigned ways, std::string name)
     : numSets(sets), numWays(ways), entries(sets * ways),
-      _stats(std::move(name)),
+      lineTags(sets * ways, kNoLine), _stats(std::move(name)),
       hitsCtr(&_stats.counter("hits")),
       missesCtr(&_stats.counter("misses"))
 {
@@ -104,16 +105,23 @@ bool
 LineCache::access(Addr pa)
 {
     const std::uint64_t line = pa >> 6;
-    const unsigned set_idx =
-        static_cast<unsigned>(mix(line) & (numSets - 1));
-    Entry *set = &entries[set_idx * numWays];
-    Entry *victim = &set[0];
+    const std::size_t base =
+        static_cast<std::size_t>(mix(line) & (numSets - 1)) * numWays;
+    const std::uint64_t *tags = &lineTags[base];
+    Entry *set = &entries[base];
     for (unsigned w = 0; w < numWays; ++w) {
-        if (set[w].valid && set[w].tag == line) {
+        if (tags[w] == line) {
             set[w].lru = ++tick;
             ++*hitsCtr;
             return true;
         }
+    }
+    // Victim: the last invalid way, else the least recently used.
+    // The way replaced decides which lines stay cached, and so which
+    // later walk references are priced as hits: this choice is part
+    // of the model and must not change.
+    Entry *victim = &set[0];
+    for (unsigned w = 0; w < numWays; ++w) {
         if (!set[w].valid) {
             victim = &set[w];
             continue;
@@ -124,6 +132,7 @@ LineCache::access(Addr pa)
     victim->tag = line;
     victim->lru = ++tick;
     victim->valid = true;
+    lineTags[base + static_cast<std::size_t>(victim - set)] = line;
     ++*missesCtr;
     return false;
 }
@@ -133,6 +142,7 @@ LineCache::flush()
 {
     for (auto &entry : entries)
         entry.valid = false;
+    std::fill(lineTags.begin(), lineTags.end(), kNoLine);
     ++_stats.counter("flushes");
 }
 
@@ -214,6 +224,7 @@ LineCache::deserialize(ckpt::Decoder &dec)
         e.tag = dec.u64();
         e.lru = dec.u64();
         e.valid = dec.u8() != 0;
+        lineTags[static_cast<std::size_t>(i)] = e.valid ? e.tag : kNoLine;
     }
     if (!_stats.deserialize(dec))
         return false;

@@ -17,7 +17,9 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -88,10 +90,37 @@ class WalkCache
     Counter *missesCtr;
 };
 
+/** Allocator that starts every array on a 64-byte boundary. */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U> &) {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T *p, std::size_t) { ::operator delete(p, kAlign); }
+
+    bool operator==(const CacheLineAllocator &) const { return true; }
+};
+
 /**
  * Small set-associative cache of 64-byte lines standing in for PTE
  * residency in the data-cache hierarchy.  access() returns whether
  * the line was already present and inserts it.
+ *
+ * The hit test reads a separate tag array in which an invalid way
+ * holds an all-ones sentinel (no line number reaches it), so the
+ * eight tags of a set share one host cache line.  The entries keep
+ * their own tag and valid bit because checkpoints record both,
+ * stale tags of invalid ways included.
  */
 class LineCache
 {
@@ -117,10 +146,14 @@ class LineCache
         bool valid = false;
     };
 
+    static constexpr std::uint64_t kNoLine = ~0ull;
+
     unsigned numSets;
     unsigned numWays;
     std::uint64_t tick = 0;
     std::vector<Entry> entries;
+    // entries[i].valid ? entries[i].tag : kNoLine, for the hit test.
+    std::vector<std::uint64_t, CacheLineAllocator<std::uint64_t>> lineTags;
     StatGroup _stats;
     Counter *hitsCtr;
     Counter *missesCtr;

@@ -145,5 +145,36 @@ TEST_F(WalkerTest, CountStageHelper)
     EXPECT_EQ(trace.countStage(RefStage::NestedTable), 0u);
 }
 
+TEST(WalkTraceTest, HoldsTwentyFourRefsInline)
+{
+    WalkTrace trace;
+    trace.refs.reserve(24);
+    for (int i = 0; i < 24; ++i)
+        trace.addRef(static_cast<Addr>(i) * 8, RefStage::GuestTable, 4);
+    ASSERT_EQ(trace.refs.size(), 24u);
+    EXPECT_EQ(trace.refs[23].hpa, 23u * 8);
+    Addr sum = 0;
+    for (const auto &ref : trace.refs)
+        sum += ref.hpa;
+    EXPECT_EQ(sum, 8u * (23 * 24 / 2));
+    trace.clear();
+    EXPECT_TRUE(trace.refs.empty());
+}
+
+TEST(WalkTraceDeathTest, TwentyFifthRefPanics)
+{
+    WalkTrace trace;
+    for (int i = 0; i < 24; ++i)
+        trace.addRef(0x1000, RefStage::NestedTable, 1);
+    EXPECT_DEATH(trace.addRef(0x1000, RefStage::NestedTable, 1),
+                 "more than 24 references");
+}
+
+TEST(WalkTraceDeathTest, ReserveBeyondCapacityPanics)
+{
+    WalkTrace trace;
+    EXPECT_DEATH(trace.refs.reserve(25), "cannot hold 25");
+}
+
 } // namespace
 } // namespace emv::paging

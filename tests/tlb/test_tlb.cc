@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "tlb/tlb.hh"
 #include "../test_support.hh"
 
@@ -192,6 +195,65 @@ TEST(TlbTest, CheckpointRejectsGeometryMismatch)
     Tlb a("t", 16, 4);
     Tlb b("t", 8, 4);
     EXPECT_FALSE(test::ckptRestore(test::ckptBytes(a), b));
+}
+
+// Encoding layout: u32 sets, u32 ways, u64 tick, u64 entry count,
+// then per entry u64 vpn, frame, lru and u8 size, kind, valid.
+constexpr std::size_t kFirstSizeByte = 4 + 4 + 8 + 8 + 3 * 8;
+
+std::string
+restoreError(const std::vector<std::uint8_t> &bytes, Tlb &tlb)
+{
+    ckpt::Decoder dec(bytes.data(), bytes.size());
+    EXPECT_FALSE(tlb.deserialize(dec));
+    return dec.error();
+}
+
+TEST(TlbTest, CheckpointRejectsBadPageSize)
+{
+    Tlb a("t", 1, 2);
+    a.insert(EntryKind::Guest, 0x1000, 0xa000, PageSize::Size4K);
+    auto bytes = test::ckptBytes(a);
+    bytes.at(kFirstSizeByte) = 3;  // One past Size1G.
+    Tlb b("t", 1, 2);
+    EXPECT_EQ(restoreError(bytes, b), "tlb 't': bad page size");
+}
+
+TEST(TlbTest, CheckpointRejectsBadEntryKind)
+{
+    Tlb a("t", 1, 2);
+    a.insert(EntryKind::Nested, 0x1000, 0xa000, PageSize::Size4K);
+    auto bytes = test::ckptBytes(a);
+    bytes.at(kFirstSizeByte + 1) = 2;  // One past Nested.
+    Tlb b("t", 1, 2);
+    EXPECT_EQ(restoreError(bytes, b), "tlb 't': bad entry kind");
+}
+
+TEST(TlbTest, EmptyTlbCountsMissesWithoutProbing)
+{
+    Tlb tlb("t", 16, 4);
+    EXPECT_FALSE(tlb.lookupAny(EntryKind::Guest, 0x1000));
+    EXPECT_FALSE(tlb.lookup(EntryKind::Nested, 0x1000,
+                            PageSize::Size2M));
+    EXPECT_EQ(tlb.stats().counterValue("misses"), 2u);
+    tlb.insert(EntryKind::Guest, 0x1000, 0xa000, PageSize::Size4K);
+    EXPECT_TRUE(tlb.lookupAny(EntryKind::Guest, 0x1000));
+    tlb.flushAll();
+    EXPECT_FALSE(tlb.lookup(EntryKind::Guest, 0x1000,
+                            PageSize::Size4K));
+    EXPECT_EQ(tlb.stats().counterValue("hits"), 1u);
+    EXPECT_EQ(tlb.stats().counterValue("misses"), 3u);
+
+    // A restored TLB recomputes emptiness from its entries.
+    Tlb full("t", 16, 4);
+    full.insert(EntryKind::Guest, 0x1000, 0xa000, PageSize::Size4K);
+    Tlb restored("t", 16, 4);
+    ASSERT_TRUE(test::ckptRestore(test::ckptBytes(full), restored));
+    EXPECT_TRUE(restored.lookup(EntryKind::Guest, 0x1000,
+                                PageSize::Size4K));
+    ASSERT_TRUE(test::ckptRestore(test::ckptBytes(tlb), restored));
+    EXPECT_FALSE(restored.lookup(EntryKind::Guest, 0x1000,
+                                 PageSize::Size4K));
 }
 
 } // namespace

@@ -39,9 +39,10 @@
  *   hot-path-stat-lookup
  *                  no string-keyed StatRegistry lookups (counter(
  *                  "name") and friends) inside the Mmu::translate
- *                  call tree in core/mmu.cc or in PhysMemory::
- *                  read64/write64 in mem/phys_memory.cc (every page
- *                  table access) — every translation pays for them,
+ *                  call tree: core/mmu.cc, the TLB, walk-cache and
+ *                  line-cache probes in tlb/, EscapeFilter::
+ *                  mayContain, and PhysMemory::read64/write64 (every
+ *                  page table access) — every translation pays for them,
  *                  so the constructor caches the pointers once and
  *                  the hot path bumps them directly; a map lookup
  *                  per op also skews the telemetry throughput meter
@@ -455,68 +456,73 @@ void
 checkHotPathStatLookup(const fs::path &file, const std::string &rel,
                        const std::string &stripped)
 {
-    // Per file, the hot methods: everything a single translation can
-    // execute (the Mmu::translate call tree, and the PhysMemory word
-    // accesses every page-table read and write goes through).  Cold
-    // control-plane methods (set*/flush*/fraction*) may look stats
-    // up by name; these may not.
-    struct HotFile
+    // Per file and class, the hot methods: everything a single
+    // translation can execute (the Mmu::translate call tree, the
+    // TLB, paging-structure and PTE-line caches it probes, the
+    // escape-filter probe, and the PhysMemory word accesses every
+    // page-table read and write goes through).  Cold control-plane
+    // methods (set*/flush*/fraction*) may look stats up by name;
+    // these may not.
+    struct HotMethods
     {
         const char *rel;
         const char *cls;
         std::vector<const char *> methods;
     };
-    static const HotFile files[] = {
+    static const HotMethods hot[] = {
         {"core/mmu.cc", "Mmu",
          {"translate", "translateImpl", "doWalk", "nestedToHost",
           "segmentToHost", "priceTrace"}},
         {"mem/phys_memory.cc", "PhysMemory", {"read64", "write64"}},
+        {"segment/escape_filter.cc", "EscapeFilter", {"mayContain"}},
+        {"tlb/tlb.cc", "Tlb", {"lookup", "lookupAny", "insert"}},
+        {"tlb/walk_cache.cc", "WalkCache", {"lookup", "insert"}},
+        {"tlb/walk_cache.cc", "LineCache", {"access"}},
     };
-    const auto hot_file =
-        std::find_if(std::begin(files), std::end(files),
-                     [&](const HotFile &f) { return rel == f.rel; });
-    if (hot_file == std::end(files))
-        return;
     static const std::regex lookup(
         R"((counter|scalar|distribution|counterValue|scalarValue)\s*\(\s*")");
-    const std::string cls = hot_file->cls;
-    for (const char *name : hot_file->methods) {
-        const std::regex def(cls + "::" + std::string(name) +
-                             R"(\s*\()");
-        auto from = stripped.cbegin();
-        std::smatch m;
-        while (std::regex_search(from, stripped.cend(), m, def)) {
-            auto it = m[0].second;
-            // Find the body; a ';' first would mean a declaration.
-            while (it != stripped.cend() && *it != '{' && *it != ';')
-                ++it;
-            if (it == stripped.cend() || *it == ';') {
+    for (const HotMethods &entry : hot) {
+        if (rel != entry.rel)
+            continue;
+        const std::string cls = entry.cls;
+        for (const char *name : entry.methods) {
+            const std::regex def(cls + "::" + std::string(name) +
+                                 R"(\s*\()");
+            auto from = stripped.cbegin();
+            std::smatch m;
+            while (std::regex_search(from, stripped.cend(), m, def)) {
+                auto it = m[0].second;
+                // Find the body; a ';' first would mean a declaration.
+                while (it != stripped.cend() && *it != '{' && *it != ';')
+                    ++it;
+                if (it == stripped.cend() || *it == ';') {
+                    from = it;
+                    continue;
+                }
+                int depth = 0;
+                const auto body_begin = it;
+                for (; it != stripped.cend(); ++it) {
+                    if (*it == '{')
+                        ++depth;
+                    else if (*it == '}' && --depth == 0)
+                        break;
+                }
+                const std::string body(body_begin, it);
+                std::smatch hit;
+                if (std::regex_search(body, hit, lookup)) {
+                    const auto off = static_cast<std::size_t>(
+                        (body_begin - stripped.cbegin()) +
+                        hit.position());
+                    const int line = 1 + static_cast<int>(std::count(
+                        stripped.begin(), stripped.begin() + off, '\n'));
+                    report(file, line, "hot-path-stat-lookup",
+                           "string-keyed stat lookup inside " + cls +
+                               "::" + std::string(name) +
+                               "; cache the counter/scalar pointer in "
+                               "the constructor and bump it directly");
+                }
                 from = it;
-                continue;
             }
-            int depth = 0;
-            const auto body_begin = it;
-            for (; it != stripped.cend(); ++it) {
-                if (*it == '{')
-                    ++depth;
-                else if (*it == '}' && --depth == 0)
-                    break;
-            }
-            const std::string body(body_begin, it);
-            std::smatch hit;
-            if (std::regex_search(body, hit, lookup)) {
-                const auto off = static_cast<std::size_t>(
-                    (body_begin - stripped.cbegin()) +
-                    hit.position());
-                const int line = 1 + static_cast<int>(std::count(
-                    stripped.begin(), stripped.begin() + off, '\n'));
-                report(file, line, "hot-path-stat-lookup",
-                       "string-keyed stat lookup inside " + cls +
-                           "::" + std::string(name) +
-                           "; cache the counter/scalar pointer in "
-                           "the constructor and bump it directly");
-            }
-            from = it;
         }
     }
 }
